@@ -36,6 +36,7 @@ from repro.bench.reporting import render_table, write_report
 from repro.client import Client
 from repro.datasets import CorrelatedConfig, generate_correlated
 from repro.server import BackgroundServer, ServerConfig
+from repro.service.metrics import exact_percentile
 
 WORKER_COUNTS = (1, 2, 4, 8)
 BATCH_SIZE = 24
@@ -118,8 +119,8 @@ def _run_mixed_table() -> dict:
 
     MVCC snapshot reads take no lock, so the interesting numbers are the
     idle-vs-contended read throughput ratio (the writer should cost GIL
-    share, not lock waits) and that the three engines return byte-identical
-    rows at every level. Artifact:
+    share, not lock waits) and that the served engine returns rows
+    byte-identical to the row oracle at every level. Artifact:
     ``benchmarks/results/service_mixed_contention.{txt,json}``.
     """
     db = GraphDatabase()
@@ -188,17 +189,17 @@ def _run_mixed_table() -> dict:
             "mvcc": snapshot["mvcc"],
         }
 
-    # Differential: the contended dataset reads byte-identically on all
-    # three engines (the writer's :Bench nodes are published MVCC commits).
-    reference = None
-    for mode in ("row", "batched", "compiled"):
-        got = [
+    # Differential: the contended dataset reads byte-identically on the
+    # served engine and the row oracle (the writer's :Bench nodes are
+    # published MVCC commits).
+    served, oracle = (
+        [
             sorted(map(repr, db.execute(q, execution_mode=mode).to_list()))
             for q in WORKLOAD
         ]
-        if reference is None:
-            reference = got
-        assert got == reference, f"row drift between engines in {mode} mode"
+        for mode in ("compiled", "row")
+    )
+    assert served == oracle, "row drift between the served engine and row"
     data["engines_identical"] = True
 
     table = render_table(
@@ -267,13 +268,6 @@ def _drain_batch_over_network(
     return wall, sum(rows), flat
 
 
-def _percentile(sorted_values: list, fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
-    return sorted_values[index]
-
-
 def _run_network_table(smoke: bool = False) -> dict:
     connection_counts = (1, 8) if smoke else CONNECTION_COUNTS
     batch = 16 if smoke else NETWORK_BATCH
@@ -304,8 +298,8 @@ def _run_network_table(smoke: bool = False) -> dict:
                     expected_rows = batch_rows
                 assert batch_rows == expected_rows, "row drift across cells"
                 qps = batch / wall if wall > 0 else float("inf")
-                p50 = _percentile(latencies, 0.50)
-                p95 = _percentile(latencies, 0.95)
+                p50 = exact_percentile(latencies, 0.50)
+                p95 = exact_percentile(latencies, 0.95)
                 streamed = after.get("server.records_streamed", 0) - before.get(
                     "server.records_streamed", 0
                 )

@@ -24,6 +24,7 @@ import time
 from _smoke_common import SmokeProcess, connect_with_backoff
 
 from repro.client import Client  # noqa: E402
+from repro.service.metrics import exact_percentile  # noqa: E402
 
 READERS = 8
 WRITERS = 2
@@ -66,13 +67,6 @@ def read_phase(host: str, port: int, failures: list) -> list:
     for thread in threads:
         thread.join(timeout=300)
     return sorted(value for bucket in latencies for value in bucket)
-
-
-def percentile(sorted_values: list, fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
-    return sorted_values[index]
 
 
 def main() -> int:
@@ -133,8 +127,8 @@ def main() -> int:
             print(f"server exited {returncode}:\n{output}", file=sys.stderr)
             return 1
 
-    idle_p95 = percentile(baseline, 0.95)
-    contended_p95 = percentile(contended, 0.95)
+    idle_p95 = exact_percentile(baseline, 0.95)
+    contended_p95 = exact_percentile(contended, 0.95)
     total_commits = sum(commits)
     if total_commits == 0:
         print("writers never committed; contention never happened", file=sys.stderr)

@@ -89,16 +89,23 @@ def writer(index, router, kill_leader_at, killed, failures):
     """Write this owner's rows through the router. Writes that fail during
     the failover window are left to the reconciliation pass — losing an
     ACK here is exactly the ambiguity failover creates, and blind retries
-    could double-apply."""
+    could double-apply. A write issued just before the kill can still be
+    in flight when the leader dies, so a failure counts as the failover
+    window's once the kill has been signalled, not by when it was sent."""
     try:
         with connect_with_backoff(router.host, router.port) as client:
             for i in range(WRITES_PER_WRITER):
                 if index == 0 and i == kill_leader_at:
                     killed.set()
                 if not killed.is_set():
-                    client.execute(
-                        f"CREATE (:S {{owner: {index}, i: {i}}})", retries=2
-                    )
+                    try:
+                        client.execute(
+                            f"CREATE (:S {{owner: {index}, i: {i}}})",
+                            retries=2,
+                        )
+                    except (ReproError, OSError):
+                        if not killed.is_set():
+                            raise
                     continue
                 try:
                     client.execute(

@@ -100,7 +100,15 @@ def single_node_rows():
         db.close()
 
 
-def wait_for_zero_lag(replicas, timeout_s=30.0) -> None:
+def wait_for_zero_lag(leader, replicas, timeout_s=30.0) -> None:
+    """Wait until every replica has applied the leader's last commit.
+
+    A replica's self-reported lag is measured against the leader LSN of
+    the last segment it received, so it reads 0 before the final segment
+    arrives; the leader's own applied LSN (final once the writers have
+    stopped) is the target."""
+    with connect_with_backoff(leader.host, leader.port, process=leader) as client:
+        target = client.status().get("applied_lsn")
     deadline = time.monotonic() + timeout_s
     for replica in replicas:
         with connect_with_backoff(replica.host, replica.port, process=replica) as client:
@@ -109,6 +117,7 @@ def wait_for_zero_lag(replicas, timeout_s=30.0) -> None:
                 if (
                     status.get("replica_connected")
                     and status.get("replica_lag_lsn") == 0
+                    and status.get("replica_applied_lsn", -1) >= target
                 ):
                     break
                 if time.monotonic() >= deadline:
@@ -141,7 +150,7 @@ def main() -> int:
                     print(f"client {index} failed: {exc!r}", file=sys.stderr)
                 return 1
 
-            wait_for_zero_lag(replicas)
+            wait_for_zero_lag(leader, replicas)
 
             with connect_with_backoff(router.host, router.port) as client:
                 routed = sorted(

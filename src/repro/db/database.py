@@ -74,19 +74,9 @@ class GraphDatabase:
         miss_latency_s: float = DEFAULT_MISS_LATENCY_S,
         dense_node_threshold: int = DEFAULT_DENSE_NODE_THRESHOLD,
         maintenance_strategy: str = QUERY_BASED,
-        execution_mode: Optional[str] = None,
         memory_budget: Optional[int] = None,
         memory_grant: Optional[int] = None,
     ) -> None:
-        if execution_mode is None:
-            execution_mode = os.environ.get("REPRO_EXECUTION_MODE", "batched")
-        if execution_mode not in ("row", "batched", "compiled"):
-            raise ReproError(f"unknown execution mode {execution_mode!r}")
-        #: Default engine for :meth:`execute` — "batched" (morsel-at-a-time
-        #: over slot rows), "compiled" (data-centric Python codegen), or
-        #: "row" (the legacy tuple-at-a-time pipeline). Defaults to the
-        #: ``REPRO_EXECUTION_MODE`` environment variable, then "batched".
-        self.execution_mode = execution_mode
         self.page_cache = PageCache(page_cache_pages, page_size, miss_latency_s)
         self.store = GraphStore(self.page_cache, dense_node_threshold)
         self.indexes = PathIndexStore(self.page_cache, clock=self.store.mvcc)
@@ -219,8 +209,8 @@ class GraphDatabase:
     def snapshot(self) -> Iterator[Snapshot]:
         """Pin the current committed state for lock-free reading.
 
-        Inside the block, every read on this thread — queries on any of
-        the three engines, direct store reads, index scans, statistics —
+        Inside the block, every read on this thread — queries on either
+        engine, direct store reads, index scans, statistics —
         resolves at the snapshot's commit LSN, untouched by concurrent
         writers. Acquiring a snapshot takes no lock; writers never wait
         for readers and readers never wait for writers.
@@ -333,7 +323,7 @@ class GraphDatabase:
         hints: Optional[PlannerHints] = None,
         token: Optional[object] = None,
         prepared: Optional[CachedQuery] = None,
-        execution_mode: Optional[str] = None,
+        execution_mode: str = "compiled",
         tracker: Optional[object] = None,
     ) -> Result:
         """Parse, plan and run a Cypher query; returns a timed Result.
@@ -342,12 +332,12 @@ class GraphDatabase:
         (committing an implicit transaction unless one is already open) and
         return materialized rows. ``token`` is an optional cooperative
         cancellation token (``repro.service.CancellationToken``) checked at
-        row/morsel boundaries; a cancelled/timed-out write rolls back.
+        row/stride boundaries; a cancelled/timed-out write rolls back.
         ``prepared`` (from :meth:`prepare`) skips the plan-cache lookup —
         the service layer uses it so planning is looked up and timed
-        exactly once. ``execution_mode`` selects the engine per call
-        ("batched", "compiled" or "row"), defaulting to the database-wide
-        :attr:`execution_mode`. ``tracker`` is an optional
+        exactly once. Queries run on the compiled engine;
+        ``execution_mode="row"`` runs the tuple-at-a-time reference engine
+        instead (the differential tests' oracle). ``tracker`` is an optional
         :class:`~repro.resources.MemoryTracker` whose grant the caller
         already reserved (the service layer); without one, the query
         reserves its own grant from :attr:`memory_pool` and releases it
@@ -357,14 +347,17 @@ class GraphDatabase:
         implicit transaction rolls back first.
         """
         submitted = time.perf_counter()
-        mode = execution_mode if execution_mode is not None else self.execution_mode
-        if mode not in ("row", "batched", "compiled"):
-            raise ReproError(f"unknown execution mode {mode!r}")
+        if execution_mode not in ("row", "compiled"):
+            raise ReproError(f"unknown execution mode {execution_mode!r}")
         cached = prepared if prepared is not None else self._planned(query_text, hints)
         executor = Executor(
             self.store, self.indexes, cached.analyzed.variable_kinds
         )
-        compiled = self._compiled(cached, executor) if mode == "compiled" else None
+        compiled = (
+            self._compiled(cached, executor)
+            if execution_mode == "compiled"
+            else None
+        )
         own_tracker = tracker is None
         if own_tracker:
             tracker = self.memory_pool.tracker(
@@ -375,7 +368,7 @@ class GraphDatabase:
                 rows, profile = executor.execute(
                     cached.planned_parts,
                     token=token,
-                    mode=mode,
+                    mode=execution_mode,
                     compiled=compiled,
                     tracker=tracker,
                 )
@@ -395,7 +388,7 @@ class GraphDatabase:
                     cached.planned_parts,
                     transaction=tx,
                     token=token,
-                    mode=mode,
+                    mode=execution_mode,
                     compiled=compiled,
                     tracker=tracker,
                 )

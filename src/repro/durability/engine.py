@@ -182,7 +182,6 @@ class DurabilityEngine:
         miss_latency_s: Optional[float] = None,
         dense_node_threshold: Optional[int] = None,
         maintenance_strategy: Optional[str] = None,
-        execution_mode: Optional[str] = None,
         memory_budget: Optional[int] = None,
         memory_grant: Optional[int] = None,
     ) -> "GraphDatabase":
@@ -196,7 +195,6 @@ class DurabilityEngine:
         injector = injector if injector is not None else FaultInjector()
         db_kwargs = {
             "page_cache_pages": page_cache_pages,
-            "execution_mode": execution_mode,
             "memory_budget": memory_budget,
             "memory_grant": memory_grant,
         }

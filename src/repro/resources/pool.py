@@ -378,7 +378,7 @@ class MemoryTracker:
         meaningful share of it.
 
         Both conditions depend only on the engine-independent charge
-        sequence, so the three engines still make identical spill
+        sequence, so both engines make identical spill
         decisions. The per-operator share stops a resident upstream buffer
         (e.g. aggregation states that live until the query ends) from
         forcing a downstream sort to flush a run per row.

@@ -7,24 +7,22 @@ iterators, variable bindings become plain locals, and predicates/projections
 call expression closures pre-compiled with
 :func:`repro.runtime.expressions.compile_expression`. Pipeline breakers
 (hash-join build, aggregation, sort, distinct-free buffering points) stay in
-the same function as materialization points between loop nests, exactly
-where the batched engine breaks its morsel streams.
+the same function as materialization points between loop nests.
 
-The generated function preserves the batched engine's observable contract:
+The generated function preserves the row engine's observable contract:
 
 * per-logical-operator row counts (flushed once per invocation via the
-  ``_flush`` argument; operators that produced nothing are skipped, like the
-  batched engine's empty-morsel suppression),
+  ``_flush`` argument; operators that produced nothing are skipped),
 * cooperative cancellation (``_check`` is called every
-  :data:`CHECK_STRIDE` operator outputs — the fused counterpart of the
-  batched engine's per-morsel ``check_batch``),
-* relationship-uniqueness semantics, binder/filter ordering, and the
-  morsel-sized output chunking of the batched engine,
+  :data:`CHECK_STRIDE` operator outputs; tokens offering ``check_batch``
+  always read the deadline clock there),
+* relationship-uniqueness semantics and binder/filter ordering, with
+  output chunked into morsels of ``RuntimeContext.morsel_size`` rows,
 * per-query memory accounting: the optional ``_mem`` argument is the
   query's :class:`~repro.resources.pool.MemoryTracker`, and every
   pipeline breaker buffers through the same spill-aware structures
-  (:mod:`repro.resources.spill`) as the other engines, with identical
-  per-row cost estimates — so all three engines spill at the same input
+  (:mod:`repro.resources.spill`) as the row engine, with identical
+  per-row cost estimates — so both engines spill at the same input
   cardinalities and remain row-identical under any budget.
 
 Codegen is a produce/consume recursion (Neumann-style): ``produce(plan)``
@@ -35,11 +33,10 @@ local, or as a slot of a materialized row — so rows are only materialized
 at breakers and sinks.
 
 Token ids (labels, relationship types, property keys) are resolved when the
-part is compiled, with per-invocation fallback for ids unknown at compile
-time in exactly the places the batched engine has one (primary label of a
-label scan, incomplete expand type sets, compiled expressions). The
-artifact is cached with the plan, so it is dropped whenever statistics
-drift invalidates the plan itself.
+part is compiled, with per-invocation lookup for ids unknown at compile
+time (primary label of a label scan, incomplete expand type sets, compiled
+expressions). The artifact is cached with the plan, so it is dropped
+whenever statistics drift invalidates the plan itself.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ from repro.planner.plans import (
     PlanRelationshipByTypeScan,
     PlanSort,
 )
-from repro.runtime.batched import SlotLayout, _merge_rows, _slot_entry_binder
 from repro.runtime.expressions import (
     EvaluationContext,
     compile_expression,
@@ -103,18 +99,19 @@ from repro.runtime.compiled.fastpath import (
     make_label_checker,
     make_label_scanner,
 )
+from repro.runtime.compiled.slots import SlotLayout, merge_rows, slot_entry_binder
 from repro.runtime.row import Row
 
 CHECK_STRIDE = 1024
-"""Operator outputs between cancellation checks (matches the batched
-engine's morsel size, so deadline-abort latency is comparable)."""
+"""Operator outputs between cancellation checks (the default morsel size),
+so deadline-abort latency stays bounded without a per-row clock read."""
 
 
 class CompiledUnsupported(ReproError):
     """Raised when a plan (or plan node) has no compiled form.
 
-    The caller falls back to the batched engine for the affected part and
-    records ``reason`` in the fallback counter.
+    Every planner operator has a producer, so this only fires for plans
+    built outside the planner (or executors without an index store).
     """
 
     def __init__(self, reason: str) -> None:
@@ -346,7 +343,7 @@ def _emit_post_label_checks(comp: PartCompiler, post, value: str) -> bool:
     """Emit per-label filters on ``value`` (an int node-id local).
 
     Returns False when a label is unknown at compile time: the row can
-    never match (batched parity), a bare ``continue`` was emitted, and
+    never match, a bare ``continue`` was emitted, and
     the caller must stop emitting code for this output.
     """
     if not post:
@@ -374,8 +371,8 @@ def _p_node_by_label_scan(
     if static is not None:
         comp.emit(f"{label_id} = {static}")
     else:
-        # Unknown at compile time: per-invocation lookup, like the batched
-        # engine's per-run fallback.
+        # Unknown at compile time: per-invocation lookup, like the row
+        # engine's per-run resolution.
         lookup = comp.add_env(
             "rlbl", lambda store=store, label=plan.label: store.labels.id_of(label)
         )
@@ -452,7 +449,7 @@ def _p_relationship_by_type_scan(
                 label_id = ctx.store.labels.id_of(label)
                 value = comp.ref(inner, var)
                 if label_id is None:
-                    # An unknown label can never match (batched parity).
+                    # An unknown label can never match.
                     comp.emit("continue")
                     return
                 has_label = comp.add_env(
@@ -509,7 +506,7 @@ def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
                 type_set = comp.add_env("types", frozenset(static))
         else:
             # Some types unknown at compile time: re-resolve per
-            # invocation, mirroring the batched engine's per-run retry.
+            # invocation, mirroring the row engine's per-run retry.
             resolver = comp.add_env(
                 "rtypes",
                 lambda ctx=ctx, names=plan.types: _resolve_type_ids(ctx, names),
@@ -519,7 +516,7 @@ def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
             filt = comp.fresh("ts")
             comp.emit(f"{resolved} = {resolver}()")
             # Guard the whole subtree: no matching types, no child work
-            # (the batched operator returns before consuming its child).
+            # (the row operator returns before consuming its child).
             type_guard = resolved
             comp.emit(f"if {resolved}:")
             comp.indent += 1
@@ -597,7 +594,7 @@ def _p_node_hash_join(comp: PartCompiler, plan: PlanNodeHashJoin, consume) -> No
         lambda mem, shared, width, plan=plan: JoinSpillBuffer(
             mem,
             plan,
-            lambda build_row, probe_row: _merge_rows(
+            lambda build_row, probe_row: merge_rows(
                 build_row, probe_row, shared, width
             ),
         ),
@@ -651,7 +648,7 @@ def _p_cartesian_product(
     comp.emit(f"{right_rows} = None")
     shared = comp.fresh("sh")
     comp.emit(f"{shared} = frozenset(_R0)")
-    merge = comp.add_env("merge", _merge_rows)
+    merge = comp.add_env("merge", merge_rows)
 
     def left_consume(scope: _Scope) -> None:
         left_row = comp.materialize(scope)
@@ -702,7 +699,7 @@ def _p_path_index_scan(comp: PartCompiler, plan: PlanPathIndexScan, consume) -> 
         raise CompiledUnsupported("PathIndexScan without an index store")
     index = ctx.index_store.get(plan.index_name)
     scan = comp.add_env("iscan", index.scan)
-    bind = comp.add_env("bind", _slot_entry_binder(plan, ctx, comp.layout))
+    bind = comp.add_env("bind", slot_entry_binder(plan, ctx, comp.layout))
     entry, row = comp.fresh("en"), comp.fresh("rw")
     comp.emit(f"for {entry} in {scan}():")
     with comp.block():
@@ -723,7 +720,7 @@ def _p_path_index_filtered_scan(
         raise CompiledUnsupported("PathIndexFilteredScan without an index store")
     index = ctx.index_store.get(plan.index_name)
     scan_from = comp.add_env("isf", index.scan_from)
-    bind = comp.add_env("bind", _slot_entry_binder(plan, ctx, comp.layout))
+    bind = comp.add_env("bind", slot_entry_binder(plan, ctx, comp.layout))
     width = len(plan.entry_vars)
     must_differ, must_equal, residual = _filtered_scan_constraints(plan)
     skip = comp.add_env(
@@ -778,7 +775,7 @@ def _p_path_index_prefix_seek(
     store = comp.add_env("store", ctx.store)
     bind = comp.add_env(
         "bind",
-        _slot_entry_binder(
+        slot_entry_binder(
             plan, ctx, comp.layout, skip_positions=plan.prefix_length
         ),
     )
@@ -836,7 +833,7 @@ def _p_projection(comp: PartCompiler, plan: PlanProjection, consume) -> None:
             bound[item.output_name] = local
         comp.count_and_check(plan)
         # The uniqueness scope resets and non-projected bindings drop at
-        # the boundary, exactly like the batched projection's fresh row.
+        # the boundary, exactly like the row engine's projected row.
         consume(_Scope(base=None, bound=bound, rels="()", closed=True))
 
     comp.produce(plan.children[0], consume_child)
@@ -1076,7 +1073,7 @@ PRODUCERS: dict[type, Callable] = {
     PlanLimit: _p_limit,
 }
 """Producer registry, keyed by plan-node type. Module-level so tests can
-remove an entry to exercise the batched fallback path."""
+remove an entry to exercise the unsupported-operator error."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,12 @@
 """Query execution across parts, including update application.
 
+Two engines run the same logical plans: the compiled engine
+(:mod:`repro.runtime.compiled`, fused generated pipelines over slot rows)
+serves every query, and the tuple-at-a-time row engine
+(:mod:`repro.runtime.operators`) is the readable reference that the
+differential tests compare it against (and that runs the uncached
+per-anchor maintenance queries of Algorithm 1).
+
 Parts execute in order; each incoming row is fed through the next part's
 pipeline as its argument row (Apply semantics across WITH boundaries). For
 parts carrying CREATE/DELETE actions the pattern portion runs first, the
@@ -19,7 +26,6 @@ from repro.pathindex.store import PathIndexStore
 from repro.planner.plans import LogicalPlan
 from repro.querygraph import QueryPart, UpdateAction
 from repro.resources import ROW_BYTES, AppendSpillBuffer
-from repro.runtime.batched import SlotLayout, compile_batched_plan
 from repro.runtime.compiled import CompiledPart, CompiledQuery, compile_query
 from repro.runtime.expressions import EvaluationContext, evaluate
 from repro.runtime.operators import (
@@ -123,18 +129,17 @@ class Executor:
 
         ``token`` is an optional cooperative cancellation token (see
         ``repro.service.cancellation``) checked at row boundaries (``mode
-        ="row"``), morsel boundaries (``mode="batched"``), or every
-        ~``CHECK_STRIDE`` operator outputs (``mode="compiled"``). ``mode``
-        selects the execution engine; ``morsel_size`` overrides the
-        batched/compiled engines' batch size (mainly for tests).
-        ``compiled`` supplies a cached codegen artifact for
+        ="row"``) or every ~``CHECK_STRIDE`` operator outputs (``mode=
+        "compiled"``). ``mode`` selects the engine; ``morsel_size``
+        overrides the compiled engine's output batch size (mainly for
+        tests). ``compiled`` supplies a cached codegen artifact for
         ``mode="compiled"``; when absent (or compiled for a different
         morsel size) the plans are compiled on the fly. ``tracker`` is the
         query's :class:`~repro.resources.MemoryTracker`; blocking operators
         charge it (and spill through it), and its per-operator peaks merge
         into the profile when the iterator finishes.
         """
-        if mode not in ("row", "batched", "compiled"):
+        if mode not in ("row", "compiled"):
             raise ReproError(f"unknown execution mode {mode!r}")
         profile = ExecutionProfile([plan for _, plan in planned_parts])
         ctx = RuntimeContext(
@@ -151,16 +156,11 @@ class Executor:
         if mode == "compiled":
             if compiled is None or compiled.morsel_size != ctx.morsel_size:
                 compiled = compile_query(planned_parts, ctx)
-            for (part, plan), cpart in zip(planned_parts, compiled.parts):
-                rows = self._run_part_compiled(
-                    rows, part, plan, ctx, transaction, cpart
-                )
+            for (part, _), cpart in zip(planned_parts, compiled.parts):
+                rows = self._run_part_compiled(rows, part, ctx, transaction, cpart)
         else:
-            run_part = (
-                self._run_part_batched if mode == "batched" else self._run_part
-            )
             for part, plan in planned_parts:
-                rows = run_part(rows, part, plan, ctx, transaction)
+                rows = self._run_part(rows, part, plan, ctx, transaction)
         if tracker is not None:
             rows = _accounted(rows, tracker, profile)
         return rows, profile
@@ -186,82 +186,24 @@ class Executor:
             raise TransactionError("update query requires an open transaction")
         return self._run_update_part(input_rows, part, pipeline, transaction, ctx)
 
-    def _run_part_batched(
-        self,
-        input_rows: Iterator[Row],
-        part: QueryPart,
-        plan: LogicalPlan,
-        ctx: RuntimeContext,
-        transaction: Optional[Transaction],
-    ) -> Iterator[Row]:
-        """Batched counterpart of :meth:`_run_part`.
-
-        Each part gets its own :class:`SlotLayout`; argument rows convert
-        to slot rows on entry (Apply semantics are preserved — the batched
-        pipeline is still invoked once per argument row) and back to
-        :class:`Row` at the part boundary. Read parts with a projection
-        rebuild rows from the projection's output columns, keeping
-        explicit None values, exactly like ``Row.project``.
-        """
-        layout = SlotLayout()
-        pipeline = compile_batched_plan(plan, ctx, layout)
-        if not part.updates:
-            if part.projection:
-                out_slots = [
-                    (item.output_name, layout.slot_of(item.output_name))
-                    for item in part.projection
-                ]
-
-                def run_read() -> Iterator[Row]:
-                    for arg_row in input_rows:
-                        for morsel in pipeline(layout.row_from(arg_row)):
-                            for slot_row in morsel:
-                                yield Row(
-                                    {
-                                        name: slot_row[slot]
-                                        for name, slot in out_slots
-                                    }
-                                )
-            else:
-
-                def run_read() -> Iterator[Row]:
-                    for arg_row in input_rows:
-                        for morsel in pipeline(layout.row_from(arg_row)):
-                            for slot_row in morsel:
-                                yield layout.row_to(slot_row)
-
-            return run_read()
-        if transaction is None:
-            raise TransactionError("update query requires an open transaction")
-
-        def row_pipeline(arg_row: Row) -> Iterator[Row]:
-            for morsel in pipeline(layout.row_from(arg_row)):
-                for slot_row in morsel:
-                    yield layout.row_to(slot_row)
-
-        return self._run_update_part(
-            input_rows, part, row_pipeline, transaction, ctx
-        )
-
     def _run_part_compiled(
         self,
         input_rows: Iterator[Row],
         part: QueryPart,
-        plan: LogicalPlan,
         ctx: RuntimeContext,
         transaction: Optional[Transaction],
-        cpart: Optional[CompiledPart],
+        cpart: CompiledPart,
     ) -> Iterator[Row]:
-        """Codegen counterpart of :meth:`_run_part_batched`.
+        """Codegen counterpart of :meth:`_run_part`.
 
-        ``cpart`` is the part's compiled pipeline, or None when it fell
-        back to the batched engine. The generated function receives its
-        per-execution dependencies — the profile flush and the
+        ``cpart`` is the part's compiled pipeline. Argument rows convert
+        to slot rows on entry (Apply semantics are preserved — the
+        pipeline is still invoked once per argument row) and back to
+        :class:`Row` at the part boundary. The generated function receives
+        its per-execution dependencies — the profile flush and the
         cancellation check — as arguments; everything compile-time
         (store, index, expression closures, tokens) is baked in.
         """
-        if cpart is None:
-            return self._run_part_batched(input_rows, part, plan, ctx, transaction)
         fn = cpart.fn
         layout = cpart.layout
         plans = cpart.plans

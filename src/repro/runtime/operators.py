@@ -120,10 +120,11 @@ class RuntimeContext:
 
     ``token`` (when set) is a cooperative cancellation token — see
     ``repro.service.cancellation`` — checked at every operator's row
-    boundary (row engine) or morsel boundary (batched engine), so deadline
-    expiry or an explicit cancel stops a query mid-scan instead of letting
-    it run to completion. ``morsel_size`` is the batch size used by the
-    batched engine; the row engine ignores it.
+    boundary (row engine) or every ~``CHECK_STRIDE`` operator outputs
+    (compiled engine), so deadline expiry or an explicit cancel stops a
+    query mid-scan instead of letting it run to completion.
+    ``morsel_size`` is the output batch size of the compiled engine; the
+    row engine ignores it.
 
     ``tracker`` (when set) is a per-query
     :class:`~repro.resources.MemoryTracker`: blocking operators charge it as
@@ -739,7 +740,7 @@ class _Accumulator:
         self.feed_value(evaluate(self.call.argument, row, ctx.eval_ctx))
 
     def feed_value(self, value) -> None:
-        """Accumulate an already-evaluated argument (batched engine path)."""
+        """Accumulate an already-evaluated argument (compiled engine path)."""
         name = self.call.name
         if value is None:
             return  # aggregates skip NULLs (Cypher semantics)

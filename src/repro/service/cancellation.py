@@ -88,10 +88,10 @@ class CancellationToken:
     def check_batch(self, rows_produced: int = 0) -> None:
         """Like :meth:`check`, but always consults the deadline clock.
 
-        The batched runtime checks once per morsel (~1024 rows), so the
-        stride amortization of :meth:`check` would stretch deadline
-        detection to tens of thousands of rows; one clock read per batch is
-        already amortized.
+        The compiled runtime checks once per ~1024 operator outputs
+        (``CHECK_STRIDE``), so the stride amortization of :meth:`check`
+        would stretch deadline detection to tens of thousands of rows; one
+        clock read per stride is already amortized.
         """
         if self._cancelled:
             raise QueryCancelledError(rows_produced=rows_produced)

@@ -9,7 +9,9 @@ nested dict (the shape ``QueryService.metrics_snapshot()`` and the shell's
 Histograms use fixed log-spaced bucket bounds (Prometheus-style cumulative
 semantics would be overkill for an embedded engine; we keep per-bucket
 counts plus count/sum/min/max, from which the snapshot derives mean and
-approximate percentiles).
+percentiles interpolated within their bucket). :func:`exact_percentile`
+is the exact counterpart for callers that keep every sample (smoke gates
+and benchmarks).
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ DEFAULT_COUNT_BUCKETS = tuple(
     int(10 ** (exponent / 2)) for exponent in range(0, 17)
 )
 """Log-spaced bounds from 1 to 1e8 for row/page counts."""
+
+
+def exact_percentile(sorted_values: Sequence[float], fraction: float) -> float:
+    """The sample at index ``int(fraction * n)`` of ascending
+    ``sorted_values`` (clamped to the last one); 0.0 when empty."""
+    if not sorted_values:
+        return 0.0
+    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
+    return sorted_values[index]
 
 
 class Counter:
@@ -100,8 +111,10 @@ class Histogram:
         return self._sum / self._count if self._count else 0.0
 
     def percentile(self, quantile: float) -> float:
-        """Approximate percentile: the upper bound of the bucket in which
-        the requested rank falls (exact min/max for the extremes)."""
+        """Approximate percentile, interpolated linearly inside the bucket
+        in which the requested rank falls. The bucket's edges are clamped
+        to the observed min/max, so a bucket bound is never reported as a
+        measurement (exact min/max for the extremes)."""
         with self._lock:
             if not self._count:
                 return 0.0
@@ -112,11 +125,18 @@ class Histogram:
             rank = quantile * self._count
             cumulative = 0
             for index, bucket_count in enumerate(self._counts):
+                if cumulative + bucket_count >= rank and bucket_count:
+                    lower = self.bounds[index - 1] if index else self._min
+                    upper = (
+                        self.bounds[index]
+                        if index < len(self.bounds)
+                        else self._max
+                    )
+                    lower = max(lower, self._min)
+                    upper = min(upper, self._max)
+                    share = (rank - cumulative) / bucket_count
+                    return lower + (upper - lower) * share
                 cumulative += bucket_count
-                if cumulative >= rank:
-                    if index >= len(self.bounds):
-                        return self._max
-                    return min(self.bounds[index], self._max)
             return self._max
 
     def summary(self) -> dict:

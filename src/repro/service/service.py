@@ -103,11 +103,6 @@ class ServiceConfig:
     to the engine's own record/byte thresholds and explicit :meth:`~repro.\
 db.database.GraphDatabase.checkpoint` calls."""
 
-    execution_mode: Optional[str] = None
-    """Runtime engine for queries executed through the service:
-    ``"row"``, ``"batched"`` or ``"compiled"``. ``None`` inherits the
-    database's default (``REPRO_EXECUTION_MODE`` / constructor)."""
-
     memory_grant_bytes: Optional[int] = None
     """Admission grant reserved from the database's memory pool before a
     query is dispatched to a worker (also its spill threshold). ``None``
@@ -128,10 +123,6 @@ db.database.GraphDatabase.checkpoint` calls."""
             raise ValueError("max_pending must be positive")
         if self.checkpoint_interval_s is not None and self.checkpoint_interval_s <= 0:
             raise ValueError("checkpoint_interval_s must be positive")
-        if self.execution_mode not in (None, "row", "batched", "compiled"):
-            raise ValueError(
-                "execution_mode must be 'row', 'batched' or 'compiled'"
-            )
         if self.memory_grant_bytes is not None and self.memory_grant_bytes <= 0:
             raise ValueError("memory_grant_bytes must be positive")
         if self.max_query_seconds is not None and self.max_query_seconds <= 0:
@@ -702,7 +693,6 @@ class QueryService:
                         ticket.hints,
                         token=ticket.token,
                         prepared=cached,
-                        execution_mode=self.config.execution_mode,
                         tracker=tracker,
                     )
                     rows = self._drain(result, ticket)
@@ -712,7 +702,6 @@ class QueryService:
                     ticket.hints,
                     token=ticket.token,
                     prepared=cached,
-                    execution_mode=self.config.execution_mode,
                     tracker=tracker,
                 )
                 rows = self._drain(result, ticket)
@@ -734,7 +723,6 @@ class QueryService:
                     ticket.hints,
                     token=ticket.token,
                     prepared=cached,
-                    execution_mode=self.config.execution_mode,
                     tracker=tracker,
                 )
                 rows = self._drain(result, ticket)

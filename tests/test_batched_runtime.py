@@ -1,28 +1,22 @@
-"""Differential tests: the batched engine must match the row engine exactly.
+"""Batch-boundary differential tests: morsel size must be invisible.
 
-For every paper query shape (the correlated, yago, and geospecies datasets
-with their baseline/forced-index plan variants), random small graphs, and
-the core language features (aggregation, DISTINCT, ORDER BY, LIMIT, WITH
-chains), batched (morsel-at-a-time, slot rows) execution must produce
-identical result rows in identical order, identical per-operator profile
-counts, and identical max-intermediate-cardinality as the legacy
-tuple-at-a-time engine. Deadline aborts and write rollbacks under the
-service layer must behave the same in both modes.
+The served (compiled) engine emits each operator's output in morsels of
+``RuntimeContext.morsel_size`` rows and checks cancellation between them.
+``tests/test_compiled_runtime.py`` compares it against the row oracle at
+the default morsel size; this module forces morsel sizes that split every
+operator's output mid-batch (and sizes that land exactly on a result's
+end) over the same paper query shapes, random graphs and language
+features, and requires identical result rows in identical order,
+identical per-operator profile counts and identical
+max-intermediate-cardinality. It also covers engine selection per call
+and deadline/rollback parity between the row oracle and the served engine.
 """
-
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    GraphDatabase,
-    PlannerHints,
-    QueryService,
-    QueryTimeoutError,
-    ServiceConfig,
-)
+from repro import GraphDatabase, PlannerHints, QueryTimeoutError
 from repro.datasets import (
     CorrelatedConfig,
     GeoSpeciesConfig,
@@ -35,56 +29,38 @@ from repro.datasets import (
     yago,
 )
 from repro.errors import PlannerError, ReproError
-from repro.runtime import Executor
 from repro.service.cancellation import CancellationToken
+from tests.test_compiled_runtime import (
+    BASELINE,
+    FEATURE_QUERIES,
+    INDEX_PATTERNS,
+    LIMIT_QUERIES,
+    RANDOM_QUERIES,
+    build_feature_db,
+    build_random_db,
+    forced,
+    run_with_morsel_size,
+)
 
-BASELINE = PlannerHints(use_path_indexes=False)
-
-
-def forced(name):
-    return PlannerHints(
-        required_indexes=frozenset({name}),
-        allowed_indexes=frozenset({name}),
-        path_index_cost_factor=1e-9,
-    )
-
-
-def run_both(db, query, hints=None):
-    """Execute in both modes; assert full equivalence; return the rows.
-
-    Profiles are exact even for LIMIT queries: the batched Limit compiles
-    its streaming child subtree with morsels of one, so upstream operators
-    produce exactly the rows the row engine's lazy pull would.
-    """
-    row_result = db.execute(query, hints, execution_mode="row")
-    row_rows = row_result.to_list()
-    batched_result = db.execute(query, hints, execution_mode="batched")
-    batched_rows = batched_result.to_list()
-    assert batched_rows == row_rows, query
-    # Both executions share the cached plan objects, so the profiles are
-    # directly comparable per plan node.
-    row_profile = row_result.profile.operators.rows
-    batched_profile = batched_result.profile.operators.rows
-    assert batched_profile == row_profile, query
-    assert (
-        batched_result.max_intermediate_cardinality
-        == row_result.max_intermediate_cardinality
-    ), query
-    return row_rows
+SPLITTING_SIZES = (1, 2, 7)
 
 
-def run_with_morsel_size(db, query, morsel_size, hints=None):
-    """Read-only execution through the Executor with a forced batch size."""
-    cached = db.prepare(query, hints)
-    executor = Executor(db.store, db.indexes, cached.analyzed.variable_kinds)
-    rows, profile = executor.execute(
-        cached.planned_parts, mode="batched", morsel_size=morsel_size
-    )
-    projected = [
-        {column: row.values.get(column) for column in cached.columns}
-        for row in rows
-    ]
-    return projected, profile
+def run_split(db, query, hints=None, sizes=SPLITTING_SIZES):
+    """Run ``query`` on the row oracle, then on the compiled engine at each
+    morsel size; assert full equivalence; return the rows."""
+    reference = db.execute(query, hints, execution_mode="row")
+    expected = reference.to_list()
+    for morsel_size in sizes:
+        rows, profile = run_with_morsel_size(db, query, morsel_size, hints)
+        assert rows == expected, (query, morsel_size)
+        assert (
+            profile.operators.rows == reference.profile.operators.rows
+        ), (query, morsel_size)
+        assert (
+            profile.max_intermediate_cardinality
+            == reference.max_intermediate_cardinality
+        ), (query, morsel_size)
+    return expected
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +81,7 @@ def correlated_db():
 def test_correlated_shapes_agree(correlated_db):
     db = correlated_db
     for hints in (BASELINE, None, forced("Full"), forced("Sub1"), forced("Sub6")):
-        rows = run_both(db, correlated.FULL_QUERY, hints)
+        rows = run_split(db, correlated.FULL_QUERY, hints)
         assert len(rows) == 40
 
 
@@ -132,7 +108,7 @@ def test_yago_shapes_agree():
         PlannerHints(use_path_indexes=False, manual_expand_chain=yago.MANUAL_CHAIN),
         PlannerHints(index_seed_chain=("Full", ())),
     ):
-        rows = run_both(db, yago.FULL_QUERY, hints)
+        rows = run_split(db, yago.FULL_QUERY, hints)
         assert rows
 
 
@@ -144,7 +120,7 @@ def test_geospecies_shapes_agree():
     db.create_path_index("Full", geospecies.FULL_PATTERN)
     db.create_path_index("Sub", geospecies.SUB_PATTERN)
     for hints in (BASELINE, forced("Full"), forced("Sub")):
-        rows = run_both(db, geospecies.FULL_QUERY, hints)
+        rows = run_split(db, geospecies.FULL_QUERY, hints)
         assert rows
 
 
@@ -155,119 +131,54 @@ def test_geospecies_shapes_agree():
 
 @pytest.fixture(scope="module")
 def feature_db():
-    db = GraphDatabase()
-    rng = random.Random(7)
-    nodes = []
-    for i in range(30):
-        labels = rng.sample(("A", "B"), rng.randrange(0, 3))
-        nodes.append(db.create_node(labels, {"v": rng.randrange(5), "i": i}))
-    for _ in range(80):
-        db.create_relationship(
-            rng.choice(nodes), rng.choice(nodes), rng.choice(("X", "Y"))
-        )
-    return db
-
-
-FEATURE_QUERIES = [
-    "MATCH (n:A) RETURN n.v AS v ORDER BY n.v, n.i",
-    "MATCH (n:A) RETURN DISTINCT n.v AS v",
-    "MATCH (n:A) RETURN count(*) AS c",
-    "MATCH (a:A)-[x:X]->(b) RETURN a.v AS v, count(b) AS degree",
-    "MATCH (a:A)-[x:X]->(b) RETURN a.v AS v, collect(b.v) AS vs, "
-    "sum(b.v) AS s, min(b.v) AS lo, max(b.v) AS hi",
-    "MATCH (a:A) WITH a WHERE a.v > 1 MATCH (a)-[x:X]->(b) RETURN a.i AS i, b.i AS j",
-    "MATCH (a:A)-[x:X]->(b) WITH a, b MATCH (b)-[y:Y]->(c) RETURN a.i AS i, c.i AS k",
-    "MATCH (a:A), (b:B) WHERE a.v = b.v RETURN a.i AS i, b.i AS j",
-    "MATCH (a:A)-[x:X]->(b)<-[y:X]-(c:A) WHERE a.v <> c.v RETURN a.i AS i, c.i AS k",
-    "MATCH (a:A)-[x:X]->(b) RETURN DISTINCT a.v AS v, b.v AS w ORDER BY v, w",
-]
-
-LIMIT_QUERIES = [
-    "MATCH (n:A) RETURN n.v AS v ORDER BY n.v DESC SKIP 2 LIMIT 3",
-    "MATCH (n) RETURN labels(n) AS ls, n.v + 1 AS w ORDER BY n.i LIMIT 10",
-    "MATCH (n:A) RETURN n.i AS i SKIP 4",
-]
+    return build_feature_db()
 
 
 def test_feature_queries_agree(feature_db):
     for query in FEATURE_QUERIES:
-        run_both(feature_db, query)
+        run_split(feature_db, query)
 
 
 def test_limit_queries_agree(feature_db):
     for query in LIMIT_QUERIES:
-        run_both(feature_db, query)
+        run_split(feature_db, query)
 
 
 def test_limit_does_not_overfill_upstream_morsels(feature_db):
-    """The Limit child subtree runs demand-driven: streaming operators
-    above the nearest blocking operator must profile exactly the rows the
-    row engine's lazy pull consumes — not a full final morsel."""
+    """Streaming operators above the nearest blocking operator must
+    profile exactly the rows the row engine's lazy pull consumes — not a
+    full final morsel — at every morsel size, including the default."""
     query = "MATCH (n) RETURN labels(n) AS ls, n.v + 1 AS w LIMIT 3"
     reference = feature_db.execute(query, execution_mode="row")
     expected = reference.to_list()
     assert len(expected) == 3
-    batched = feature_db.execute(query, execution_mode="batched")
-    assert batched.to_list() == expected
-    assert batched.profile.operators.rows == reference.profile.operators.rows
+    served = feature_db.execute(query)
+    assert served.to_list() == expected
+    assert served.profile.operators.rows == reference.profile.operators.rows
+    run_split(feature_db, query, sizes=(1, 2, 3, 4, 64))
 
 
 def test_small_morsel_sizes_hit_batch_boundaries(feature_db):
-    """Morsel size must be invisible: sizes that split every operator's
-    output mid-batch give the same rows and profile as the row engine."""
+    """Morsel sizes one below, at and one above a result's row count put
+    the last batch boundary exactly on, or next to, the end of the
+    output; rows and profiles must still match the row engine."""
     for query in FEATURE_QUERIES + LIMIT_QUERIES:
-        reference = feature_db.execute(query, execution_mode="row")
-        expected = reference.to_list()
-        for morsel_size in (1, 2, 7):
-            rows, profile = run_with_morsel_size(feature_db, query, morsel_size)
-            assert rows == expected, (query, morsel_size)
-            assert (
-                profile.operators.rows == reference.profile.operators.rows
-            ), (query, morsel_size)
+        count = len(feature_db.execute(query, execution_mode="row").to_list())
+        sizes = sorted({size for size in (count - 1, count, count + 1) if size > 0})
+        run_split(feature_db, query, sizes=sizes)
 
 
 def test_unknown_execution_mode_rejected(feature_db):
-    with pytest.raises(ReproError):
-        feature_db.execute("MATCH (n) RETURN n", execution_mode="vectorized")
-    with pytest.raises(ReproError):
-        GraphDatabase(execution_mode="vectorized")
+    for mode in ("batched", "vectorized", None):
+        with pytest.raises(ReproError):
+            feature_db.execute("MATCH (n) RETURN n", execution_mode=mode)
+    with pytest.raises(TypeError):
+        GraphDatabase(execution_mode="row")
 
 
 # ----------------------------------------------------------------------
 # Random graphs, every plan family
 # ----------------------------------------------------------------------
-
-LABELS = ("A", "B")
-TYPES = ("X", "Y")
-
-RANDOM_QUERIES = [
-    "MATCH (a:A)-[x:X]->(b:B) RETURN *",
-    "MATCH (a:A)-[x:X]->(b)-[y:Y]->(c:A) RETURN *",
-    "MATCH (a)-[x:X]->(b:B)<-[y:Y]-(c) RETURN *",
-    "MATCH (a:A)-[x:X]->(b:B) WHERE a.v <> b.v RETURN *",
-    "MATCH (a:A)-[x:X]->(b)-[y:X]->(c) RETURN *",
-]
-
-INDEX_PATTERNS = {
-    "ix_xy": "(:A)-[:X]->()-[:Y]->(:A)",
-    "ix_x": "(:A)-[:X]->(:B)",
-    "ix_any": "()-[:X]->()",
-    "ix_xx": "(:A)-[:X]->()-[:X]->()",
-}
-
-
-def build_random_db(seed: int) -> GraphDatabase:
-    rng = random.Random(seed)
-    db = GraphDatabase()
-    nodes = []
-    for _ in range(rng.randrange(4, 10)):
-        labels = rng.sample(LABELS, rng.randrange(0, 3))
-        nodes.append(db.create_node(labels, {"v": rng.randrange(3)}))
-    for _ in range(rng.randrange(5, 18)):
-        db.create_relationship(
-            rng.choice(nodes), rng.choice(nodes), rng.choice(TYPES)
-        )
-    return db
 
 
 @settings(max_examples=20, deadline=None)
@@ -277,49 +188,47 @@ def test_random_graphs_agree_across_plan_families(seed):
     for name, pattern in INDEX_PATTERNS.items():
         db.create_path_index(name, pattern)
     for query in RANDOM_QUERIES:
-        run_both(db, query, BASELINE)
-        run_both(db, query, None)
+        run_split(db, query, BASELINE, sizes=(1, 3))
+        run_split(db, query, None, sizes=(1, 3))
         for name in INDEX_PATTERNS:
             try:
-                run_both(db, query, forced(name))
+                run_split(db, query, forced(name), sizes=(1, 3))
             except PlannerError:
                 continue  # index does not embed into this query
 
 
 # ----------------------------------------------------------------------
-# Service parity: deadlines and write rollback
+# Engine parity: deadlines and write rollback
 # ----------------------------------------------------------------------
 
 
-def _cross_db(mode):
-    db = GraphDatabase(execution_mode=mode)
+@pytest.mark.parametrize("mode", ["row", "compiled"])
+def test_deadline_aborts_scan_in_both_modes(mode):
+    db = GraphDatabase()
     for i in range(400):
         db.create_node(["P"], {"i": i})
-    return db
-
-
-@pytest.mark.parametrize("mode", ["row", "batched"])
-def test_deadline_aborts_scan_in_both_modes(mode):
-    db = _cross_db(mode)
     query = "MATCH (a:P), (b:P) RETURN a.i AS ai, b.i AS bi"
-    full = len(db.execute(query).to_list())
-    with QueryService(db, ServiceConfig()) as service:
-        ticket = service.submit(query, deadline_s=0.02)
-        with pytest.raises(QueryTimeoutError):
-            ticket.result(timeout=30)
-        assert ticket.status.name == "TIMED_OUT"
-        assert ticket.rows_produced < full
+    full = len(db.execute(query, execution_mode=mode).to_list())
+    token = CancellationToken.with_timeout(0.02)
+    produced = 0
+    with pytest.raises(QueryTimeoutError):
+        for _ in db.execute(query, token=token, execution_mode=mode):
+            produced += 1
+    assert produced < full
 
 
-@pytest.mark.parametrize("mode", ["row", "batched"])
+@pytest.mark.parametrize("mode", ["row", "compiled"])
 def test_cancelled_write_rolls_back_in_both_modes(mode):
-    db = GraphDatabase(execution_mode=mode)
+    db = GraphDatabase()
     for i in range(300):
         db.create_node(["P"], {"i": i})
     before = db.store.statistics.node_count
     token = CancellationToken.with_timeout(0.005)
-    with pytest.raises((QueryTimeoutError, Exception)) as excinfo:
-        db.execute("MATCH (a:P), (b:P) CREATE (c:Q) RETURN c", token=token)
-    assert isinstance(excinfo.value, QueryTimeoutError)
+    with pytest.raises(QueryTimeoutError):
+        db.execute(
+            "MATCH (a:P), (b:P) CREATE (c:Q) RETURN c",
+            token=token,
+            execution_mode=mode,
+        )
     assert db.store.statistics.node_count == before
     assert len(db.execute("MATCH (c:Q) RETURN c").to_list()) == 0

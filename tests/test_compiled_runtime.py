@@ -1,14 +1,15 @@
-"""Differential tests: the compiled (codegen) engine vs row and batched.
+"""Differential tests: the compiled (codegen) engine vs the row engine.
 
 The compiled engine generates one fused Python pipeline function per query
-part (``repro.runtime.compiled``). For the paper's query shapes, random
-graphs, and the core language features it must produce identical result
-rows, identical per-operator profile counts, and identical
-max-intermediate-cardinality as the tuple-at-a-time row engine — with zero
-batched-engine fallbacks. Deadline aborts and write rollbacks must behave
-the same as in the other modes, and deleting a producer from the codegen
-registry must fall back to the batched engine transparently (same rows,
-reason counted).
+part (``repro.runtime.compiled``) and serves every query; the
+tuple-at-a-time row engine is the reference oracle. For the paper's query
+shapes, random graphs, and the core language features the compiled engine
+must produce identical result rows in identical order, identical
+per-operator profile counts, and identical max-intermediate-cardinality at
+the default morsel size (``tests/test_batched_runtime.py`` forces sizes
+that split every operator's output). Deadline aborts and write rollbacks
+must work under the service, and a plan node without a compiled form must
+fail loudly.
 """
 
 import dataclasses
@@ -38,11 +39,8 @@ from repro.datasets import (
 )
 from repro.errors import PlannerError
 from repro.planner import plans as plan_nodes
-from repro.runtime.compiled import (
-    PRODUCERS,
-    fallback_counts,
-    reset_fallback_counts,
-)
+from repro.runtime import Executor
+from repro.runtime.compiled import PRODUCERS, CompiledUnsupported
 from repro.service.cancellation import CancellationToken
 
 BASELINE = PlannerHints(use_path_indexes=False)
@@ -56,30 +54,21 @@ def forced(name):
     )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_fallback_counter():
-    reset_fallback_counts()
-    yield
-    reset_fallback_counts()
-
-
-def run_three(db, query, hints=None, exact_batched_profile=True):
-    """Execute in all three modes; assert full equivalence; return rows.
+def run_both(db, query, hints=None):
+    """Execute on the row oracle and the served (compiled) engine; assert
+    full equivalence; return the rows.
 
     The compiled engine counts operator output per row exactly like the
-    row engine, so its profile is always compared exactly — including
-    LIMIT queries, where only the batched engine over-produces by up to
-    one morsel (``exact_batched_profile=False`` relaxes that comparison).
+    row engine, so profiles are compared exactly — including LIMIT
+    queries, where upstream operators must produce only the rows the row
+    engine's lazy pull consumes.
     """
     row_result = db.execute(query, hints, execution_mode="row")
     row_rows = row_result.to_list()
-    batched_result = db.execute(query, hints, execution_mode="batched")
-    batched_rows = batched_result.to_list()
-    compiled_result = db.execute(query, hints, execution_mode="compiled")
+    compiled_result = db.execute(query, hints)
     compiled_rows = compiled_result.to_list()
     assert compiled_rows == row_rows, query
-    assert batched_rows == row_rows, query
-    # All three executions share the cached plan objects, so profiles are
+    # Both executions share the cached plan objects, so profiles are
     # directly comparable per plan node.
     row_profile = row_result.profile.operators.rows
     compiled_profile = compiled_result.profile.operators.rows
@@ -88,13 +77,25 @@ def run_three(db, query, hints=None, exact_batched_profile=True):
         compiled_result.max_intermediate_cardinality
         == row_result.max_intermediate_cardinality
     ), query
-    if exact_batched_profile:
-        assert batched_result.profile.operators.rows == row_profile, query
     return row_rows
 
 
+def run_with_morsel_size(db, query, morsel_size, hints=None):
+    """Read-only compiled execution with a forced output batch size."""
+    cached = db.prepare(query, hints)
+    executor = Executor(db.store, db.indexes, cached.analyzed.variable_kinds)
+    rows, profile = executor.execute(
+        cached.planned_parts, mode="compiled", morsel_size=morsel_size
+    )
+    projected = [
+        {column: row.values.get(column) for column in cached.columns}
+        for row in rows
+    ]
+    return projected, profile
+
+
 # ----------------------------------------------------------------------
-# Paper query shapes — and zero fallbacks on them
+# Paper query shapes
 # ----------------------------------------------------------------------
 
 
@@ -111,9 +112,8 @@ def correlated_db():
 def test_correlated_shapes_agree(correlated_db):
     db = correlated_db
     for hints in (BASELINE, None, forced("Full"), forced("Sub1"), forced("Sub6")):
-        rows = run_three(db, correlated.FULL_QUERY, hints)
+        rows = run_both(db, correlated.FULL_QUERY, hints)
         assert len(rows) == 40
-    assert fallback_counts() == {}
 
 
 def test_yago_shapes_agree():
@@ -139,9 +139,8 @@ def test_yago_shapes_agree():
         PlannerHints(use_path_indexes=False, manual_expand_chain=yago.MANUAL_CHAIN),
         PlannerHints(index_seed_chain=("Full", ())),
     ):
-        rows = run_three(db, yago.FULL_QUERY, hints)
+        rows = run_both(db, yago.FULL_QUERY, hints)
         assert rows
-    assert fallback_counts() == {}
 
 
 def test_geospecies_shapes_agree():
@@ -152,9 +151,8 @@ def test_geospecies_shapes_agree():
     db.create_path_index("Full", geospecies.FULL_PATTERN)
     db.create_path_index("Sub", geospecies.SUB_PATTERN)
     for hints in (BASELINE, forced("Full"), forced("Sub")):
-        rows = run_three(db, geospecies.FULL_QUERY, hints)
+        rows = run_both(db, geospecies.FULL_QUERY, hints)
         assert rows
-    assert fallback_counts() == {}
 
 
 def test_prefix_seek_compiles():
@@ -173,9 +171,8 @@ def test_prefix_seek_compiles():
     query = "MATCH (a:A)-[r:R]->(b:B)-[s:S]->(c:C) RETURN id(a) AS a, id(c) AS c"
     hints = PlannerHints(required_indexes=frozenset({"suffix"}))
     assert "PathIndexPrefixSeek" in db.explain(query, hints)
-    rows = run_three(db, query, hints)
+    rows = run_both(db, query, hints)
     assert rows == [{"a": anchor, "c": c0}]
-    assert fallback_counts() == {}
 
 
 # ----------------------------------------------------------------------
@@ -183,8 +180,7 @@ def test_prefix_seek_compiles():
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def feature_db():
+def build_feature_db() -> GraphDatabase:
     db = GraphDatabase()
     rng = random.Random(7)
     nodes = []
@@ -196,6 +192,11 @@ def feature_db():
             rng.choice(nodes), rng.choice(nodes), rng.choice(("X", "Y"))
         )
     return db
+
+
+@pytest.fixture(scope="module")
+def feature_db():
+    return build_feature_db()
 
 
 FEATURE_QUERIES = [
@@ -223,13 +224,12 @@ LIMIT_QUERIES = [
 
 def test_feature_queries_agree(feature_db):
     for query in FEATURE_QUERIES:
-        run_three(feature_db, query)
-    assert fallback_counts() == {}
+        run_both(feature_db, query)
 
 
 def test_limit_queries_agree(feature_db):
     for query in LIMIT_QUERIES:
-        run_three(feature_db, query, exact_batched_profile=False)
+        run_both(feature_db, query)
 
 
 def test_compiled_source_is_inspectable(feature_db):
@@ -242,11 +242,11 @@ def test_compiled_source_is_inspectable(feature_db):
 
 def test_artifact_cached_on_plan_entry(feature_db):
     query = "MATCH (n:A) RETURN count(*) AS c"
-    feature_db.execute(query, execution_mode="compiled").to_list()
+    feature_db.execute(query).to_list()
     cached = feature_db._planned(query, None)
     artifact = cached.compiled
-    assert artifact is not None and artifact.fully_compiled
-    feature_db.execute(query, execution_mode="compiled").to_list()
+    assert artifact is not None and len(artifact.parts) == 1
+    feature_db.execute(query).to_list()
     assert feature_db._planned(query, None).compiled is artifact
 
 
@@ -300,9 +300,8 @@ def test_node_hash_join_compiles():
 
     cached.planned_parts[0] = (part, rebuild(plan))
     cached.compiled = None
-    rows = run_three(db, query)
+    rows = run_both(db, query)
     assert rows == [{"i": i} for i in sorted(both)]
-    assert fallback_counts() == {}
 
 
 # ----------------------------------------------------------------------
@@ -342,78 +341,77 @@ def build_random_db(seed: int) -> GraphDatabase:
     return db
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_random_graphs_agree_across_plan_families(seed):
     db = build_random_db(seed)
     for name, pattern in INDEX_PATTERNS.items():
         db.create_path_index(name, pattern)
     for query in RANDOM_QUERIES:
-        run_three(db, query, BASELINE)
-        run_three(db, query, None)
+        run_both(db, query, BASELINE)
+        run_both(db, query, None)
         for name in INDEX_PATTERNS:
             try:
-                run_three(db, query, forced(name))
+                run_both(db, query, forced(name))
             except PlannerError:
                 continue  # index does not embed into this query
 
 
 # ----------------------------------------------------------------------
-# Transparent fallback to the batched engine
+# Unsupported operators fail loudly
 # ----------------------------------------------------------------------
 
 
-def test_missing_producer_falls_back_to_batched(monkeypatch):
+def _sort_query_db():
     db = GraphDatabase()
     for i in range(20):
         db.create_node(["P"], {"i": i})
-    query = "MATCH (n:P) RETURN n.i AS i ORDER BY i DESC"
-    expected = db.execute(query, execution_mode="row").to_list()
+    return db
+
+
+SORT_QUERY = "MATCH (n:P) RETURN n.i AS i ORDER BY i DESC"
+
+
+def test_missing_producer_raises_unsupported(monkeypatch):
+    db = _sort_query_db()
+    expected = db.execute(SORT_QUERY, execution_mode="row").to_list()
     monkeypatch.delitem(PRODUCERS, plan_nodes.PlanSort)
     db.plan_cache.clear()
-    rows = db.execute(query, execution_mode="compiled").to_list()
-    assert rows == expected
-    counts = fallback_counts()
-    assert counts == {"no compiled operator for PlanSort": 1}
-    # The artifact caches the fallback decision: re-running does not
-    # re-compile (and so does not re-count).
-    db.execute(query, execution_mode="compiled").to_list()
-    assert fallback_counts() == counts
+    with pytest.raises(CompiledUnsupported) as excinfo:
+        db.execute(SORT_QUERY)
+    assert excinfo.value.reason == "no compiled operator for PlanSort"
+    # The row oracle does not depend on the codegen registry.
+    assert db.execute(SORT_QUERY, execution_mode="row").to_list() == expected
 
 
-def test_fallback_surfaces_in_source(monkeypatch):
-    db = GraphDatabase()
-    db.create_node(["P"], {"i": 1})
+def test_missing_producer_raises_in_source(monkeypatch):
+    db = _sort_query_db()
     monkeypatch.delitem(PRODUCERS, plan_nodes.PlanSort)
-    source = db.compiled_source("MATCH (n:P) RETURN n.i AS i ORDER BY i")
-    assert "falls back to batched" in source
+    with pytest.raises(CompiledUnsupported) as excinfo:
+        db.compiled_source(SORT_QUERY)
+    assert excinfo.value.reason == "no compiled operator for PlanSort"
 
 
 # ----------------------------------------------------------------------
-# Service parity: config plumbing, deadlines and write rollback
+# Service parity: the served engine, deadlines and write rollback
 # ----------------------------------------------------------------------
 
 
 def test_service_config_selects_compiled_mode():
-    db = GraphDatabase(execution_mode="row")
+    """``ServiceConfig`` carries no engine field: every service serves the
+    compiled engine."""
+    db = GraphDatabase()
     for i in range(10):
         db.create_node(["P"], {"i": i})
-    with QueryService(
-        db, ServiceConfig(execution_mode="compiled")
-    ) as service:
+    with QueryService(db, ServiceConfig()) as service:
         outcome = service.execute("MATCH (n:P) RETURN count(*) AS c")
         assert outcome.rows == [{"c": 10}]
-    # The compiled artifact was built and cached, proving the mode took.
+    # The compiled artifact was built and cached by the service's run.
     assert db._planned("MATCH (n:P) RETURN count(*) AS c", None).compiled
 
 
-def test_service_config_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        ServiceConfig(execution_mode="vectorized")
-
-
 def test_deadline_aborts_scan_in_compiled_mode():
-    db = GraphDatabase(execution_mode="compiled")
+    db = GraphDatabase()
     for i in range(400):
         db.create_node(["P"], {"i": i})
     query = "MATCH (a:P), (b:P) RETURN a.i AS ai, b.i AS bi"
@@ -427,7 +425,7 @@ def test_deadline_aborts_scan_in_compiled_mode():
 
 
 def test_cancelled_write_rolls_back_in_compiled_mode():
-    db = GraphDatabase(execution_mode="compiled")
+    db = GraphDatabase()
     for i in range(300):
         db.create_node(["P"], {"i": i})
     before = db.store.statistics.node_count
@@ -440,33 +438,20 @@ def test_cancelled_write_rolls_back_in_compiled_mode():
 
 def test_write_queries_agree_across_modes():
     results = []
-    for mode in ("row", "batched", "compiled"):
-        db = GraphDatabase(execution_mode=mode)
+    for mode in ("row", "compiled"):
+        db = GraphDatabase()
         for i in range(6):
             db.create_node(["P"], {"i": i})
         db.execute(
-            "MATCH (a:P) WHERE a.i < 3 CREATE (b:Q {j: a.i}) RETURN b"
+            "MATCH (a:P) WHERE a.i < 3 CREATE (b:Q {j: a.i}) RETURN b",
+            execution_mode=mode,
         ).to_list()
         rows = db.execute(
             "MATCH (b:Q) RETURN b.j AS j ORDER BY j", execution_mode="row"
         ).to_list()
         results.append(rows)
-    assert results[0] == results[1] == results[2] == [
+    assert results[0] == results[1] == [
         {"j": 0},
         {"j": 1},
         {"j": 2},
     ]
-
-
-# ----------------------------------------------------------------------
-# Environment default
-# ----------------------------------------------------------------------
-
-
-def test_env_var_sets_default_mode(monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTION_MODE", "compiled")
-    db = GraphDatabase()
-    assert db.execution_mode == "compiled"
-    db.create_node(["P"], {"i": 1})
-    assert db.execute("MATCH (n:P) RETURN n.i AS i").to_list() == [{"i": 1}]
-    assert db._planned("MATCH (n:P) RETURN n.i AS i", None).compiled is not None

@@ -2,7 +2,7 @@
 
 The contract under test: a snapshot pinned at commit LSN *t* observes
 exactly the state a fresh database would hold after replaying the first
-*t*-worth of commits — byte-identical rows on all three engines — no
+*t*-worth of commits — byte-identical rows on both engines — no
 matter how many commits land after the pin. Version GC must then reclaim
 every chain the oldest live snapshot can no longer reach, and recovery
 from a checkpoint must reproduce identical query fingerprints.
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro import GraphDatabase, QueryService
 
-ENGINES = ["row", "batched", "compiled"]
+ENGINES = ["row", "compiled"]
 
 QUERIES = [
     "MATCH (n:A) RETURN n.v AS v",
@@ -61,7 +61,7 @@ ops_strategy = st.lists(
 
 
 # ----------------------------------------------------------------------
-# Differential: pinned snapshots vs serial replay, all three engines
+# Differential: pinned snapshots vs serial replay, both engines
 # ----------------------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
@@ -96,7 +96,7 @@ def test_pinned_snapshots_match_serial_replay(ops):
 
 def test_snapshot_differential_under_memory_budget():
     """The same prefix-equivalence holds when spill-to-disk operators are
-    in play (8 MiB budget), on all three engines."""
+    in play (8 MiB budget), on both engines."""
     ops = [
         ("create", 0), ("create", 1), ("link", 0),
         ("create", 2), ("link", 1), ("delete", 0), ("link", 2),

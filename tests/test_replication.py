@@ -3,8 +3,8 @@
 Three layers of guarantees under test:
 
 * **Differential** — after draining, every paper-shaped query returns rows
-  over the wire from a replica byte-identical to the leader, on all three
-  execution engines; a hypothesis test interleaves random writes,
+  over the wire from a replica byte-identical to the leader's in-process
+  rows, on the served engine and the row oracle; a hypothesis test interleaves random writes,
   checkpoints and replica bounces and requires the replica to converge to
   the leader's exact fingerprint (replay is id-identical, so the
   fingerprints include raw ids).
@@ -39,6 +39,7 @@ from repro import (
 )
 from repro.client import Client
 from repro.durability import iter_tail_frames
+from repro.errors import ReproError
 from repro.replication import Replica
 from repro.router import Router, RouterConfig
 from repro.server import BackgroundServer, ServerConfig
@@ -98,12 +99,10 @@ def wait_until(predicate, timeout_s=30.0, message="condition"):
 
 
 @contextmanager
-def leader_stack(directory, injector=None, mode=None, **server_kw):
+def leader_stack(directory, injector=None, **server_kw):
     """A durable leader database behind a background server."""
     db = GraphDatabase.open(directory, fault_injector=injector)
-    service = QueryService(
-        db, ServiceConfig(max_concurrency=4, execution_mode=mode)
-    )
+    service = QueryService(db, ServiceConfig(max_concurrency=4))
     server = BackgroundServer(service, ServerConfig(port=0, **server_kw))
     host, port = server.start()
     try:
@@ -123,13 +122,13 @@ def leader_stack(directory, injector=None, mode=None, **server_kw):
 class ReplicaNode:
     """A replica plus (optionally) its own serving server."""
 
-    def __init__(self, directory, leader_name, injector=None, serve=True, mode=None):
+    def __init__(self, directory, leader_name, injector=None, serve=True):
         self.rep = Replica(directory, leader_name, injector=injector)
         self.service = self.server = self.addr = self.name = None
         if serve:
             self.service = QueryService(
                 self.rep.db,
-                ServiceConfig(max_concurrency=2, execution_mode=mode),
+                ServiceConfig(max_concurrency=2),
             )
             self.rep.attach(
                 on_swap=self.service.swap_database, metrics=self.service.metrics
@@ -185,7 +184,7 @@ def rows_bytes(rows):
 
 
 # ---------------------------------------------------------------------------
-# Differential: leader vs replicas, all three engines
+# Differential: leader vs replicas, served engine and row oracle
 # ---------------------------------------------------------------------------
 
 
@@ -206,25 +205,33 @@ def populate_paper_graph(db, paths=25):
     db.create_path_index("y", "(:A)-[:Y]->(:B)")
 
 
-@pytest.mark.parametrize("mode", ["row", "batched", "compiled"])
+@pytest.mark.parametrize("mode", ["row", "compiled"])
 def test_replica_rows_byte_identical_across_engines(tmp_path, mode):
-    with leader_stack(tmp_path / "leader", mode=mode) as lead:
+    """Rows served by the leader and by every replica are byte-identical
+    to the leader's in-process rows on ``mode`` (the served engine, or the
+    row oracle)."""
+    with leader_stack(tmp_path / "leader") as lead:
         populate_paper_graph(lead.db)
-        nodes = [
-            ReplicaNode(tmp_path / f"rep{i}", lead.name, mode=mode)
-            for i in range(2)
-        ]
+        nodes = [ReplicaNode(tmp_path / f"rep{i}", lead.name) for i in range(2)]
         try:
             for node in nodes:
                 node.drain_from(lead)
             with Client(*lead.addr) as leader_client:
                 for query in PAPER_QUERIES:
-                    expected = leader_client.execute(query).rows
+                    local = lead.db.execute(query, execution_mode=mode)
+                    expected = [
+                        {column: row.get(column) for column in local.columns}
+                        for row in local.to_list()
+                    ]
+                    served = leader_client.execute(query).rows
+                    assert rows_bytes(served) == rows_bytes(expected), (
+                        f"leader row drift for {query!r} against {mode}"
+                    )
                     for node in nodes:
                         with Client(*node.addr) as replica_client:
                             got = replica_client.execute(query).rows
                         assert rows_bytes(got) == rows_bytes(expected), (
-                            f"replica row drift for {query!r} in {mode} mode"
+                            f"replica row drift for {query!r} against {mode}"
                         )
         finally:
             for node in nodes:
@@ -372,14 +379,23 @@ def test_leader_crash_mid_ship_recovers(tmp_path, point):
                 client.execute(f"CREATE (:P {{i: {i}}})")
         node.drain_from(lead)
         injector.arm(point)
+        # The shipper may fire the kill point while writes are still being
+        # issued; the first failed write is the leader dying, so stop there.
+        acked = attempted = 0
         with Client(*lead.addr) as client:
             for i in range(5, 10):
-                client.execute(f"CREATE (:P {{i: {i}}})")
+                attempted += 1
+                try:
+                    client.execute(f"CREATE (:P {{i: {i}}})")
+                except (ReproError, OSError):
+                    break
+                acked += 1
         wait_until(lambda: injector.crashed, message="leader ship crash")
         applied_at_crash = node.rep.applied_lsn
         node.stop()
     # The leader process is dead; re-open the directory (recovery replays
-    # the durable log — all ten writes were fsynced before shipping).
+    # the durable log — every acked write was fsynced before shipping; the
+    # failed one may or may not have reached the log).
     with leader_stack(tmp_path / "leader") as lead:
         node = ReplicaNode(tmp_path / "rep", lead.name, serve=False)
         try:
@@ -388,7 +404,8 @@ def test_leader_crash_mid_ship_recovers(tmp_path, point):
             assert node.rep.applied_lsn >= applied_at_crash
             node.drain_from(lead)
             assert fingerprint(node.rep.db) == fingerprint(lead.db)
-            assert node.rep.db.store.statistics.node_count == 10
+            count = node.rep.db.store.statistics.node_count
+            assert 5 + acked <= count <= 5 + attempted
         finally:
             node.stop()
 

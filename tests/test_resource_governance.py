@@ -5,7 +5,7 @@ The acceptance bar for the subsystem:
 
 * with a budget smaller than the working set, sort / aggregation / distinct /
   join shapes complete by spilling and return rows **identical** to
-  unconstrained runs in all three engines (the deterministic cost model means
+  unconstrained runs on both engines (the deterministic cost model means
   the engines also make identical spill decisions);
 * pool exhaustion degrades gracefully — the affected query fails fast with
   :class:`MemoryLimitExceeded` (writes roll back to a fingerprint-identical
@@ -28,7 +28,7 @@ from repro.service import QueryService, ServiceConfig
 
 from tests.test_durability_recovery import fingerprint
 
-MODES = ("row", "batched", "compiled")
+MODES = ("row", "compiled")
 
 TIGHT = {"memory_budget": 1 << 20, "memory_grant": 4096}
 """A 4 KiB grant spills every blocking buffer after ~16 rows; the 1 MiB

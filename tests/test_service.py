@@ -23,7 +23,12 @@ from repro import (
     TransactionError,
 )
 from repro.service.cancellation import CancellationToken
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import (
+    DEFAULT_LATENCY_BUCKETS_S,
+    Histogram,
+    MetricsRegistry,
+    exact_percentile,
+)
 
 
 @pytest.fixture
@@ -219,7 +224,7 @@ class _FlakyDatabase(GraphDatabase):
         hints=None,
         token=None,
         prepared=None,
-        execution_mode=None,
+        execution_mode="compiled",
         tracker=None,
     ):
         cached = prepared if prepared is not None else self.prepare(query_text, hints)
@@ -587,6 +592,40 @@ def test_metrics_registry_counters_and_histograms():
     assert summary["max"] == pytest.approx(0.1)
     assert summary["mean"] == pytest.approx(0.02675)
     assert summary["p50"] <= summary["p95"] <= summary["p99"]
+
+
+def test_histogram_percentiles_interpolate_inside_a_bucket():
+    histogram = Histogram("lat", DEFAULT_LATENCY_BUCKETS_S)
+    # Spread over the (10 ms, 17.8 ms] bucket, up to its bound itself.
+    bound = next(b for b in DEFAULT_LATENCY_BUCKETS_S if b >= 0.017)
+    values = [0.0101 + (bound - 0.0101) * i / 99 for i in range(100)]
+    assert all(0.01 < value <= bound for value in values)
+    for value in values:
+        histogram.observe(value)
+    p50, p95, p99 = (histogram.percentile(q) for q in (0.50, 0.95, 0.99))
+    assert p50 < bound
+    assert p50 == pytest.approx(sorted(values)[50], rel=0.05)
+    assert min(values) <= p50 <= p95 <= p99 <= max(values)
+
+
+def test_histogram_percentiles_are_monotonic_across_buckets():
+    histogram = Histogram("lat", DEFAULT_LATENCY_BUCKETS_S)
+    for value in (0.001, 0.002, 0.004, 0.1, 0.1, 30.0, 500.0):
+        histogram.observe(value)
+    quantiles = [q / 20 for q in range(21)]
+    values = [histogram.percentile(q) for q in quantiles]
+    assert values == sorted(values)
+    assert values[0] == 0.001 and values[-1] == 500.0
+
+
+def test_exact_percentile_index_formula():
+    samples = [float(i) for i in range(20)]
+    assert exact_percentile([], 0.95) == 0.0
+    assert exact_percentile(samples, 0.0) == 0.0
+    assert exact_percentile(samples, 0.50) == 10.0  # int(0.5 * 20)
+    assert exact_percentile(samples, 0.95) == 19.0  # int(0.95 * 20)
+    assert exact_percentile(samples, 1.0) == 19.0  # clamped to the last
+    assert exact_percentile([7.0], 0.5) == 7.0
 
 
 def test_metrics_registry_is_thread_safe():
